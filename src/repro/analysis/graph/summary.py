@@ -3,9 +3,9 @@
 One AST pass per file (the same parse the single-module rules use)
 produces a :class:`ModuleSummary`: a plain-data, picklable fact sheet
 that the :class:`~repro.analysis.graph.project.ProjectGraph` assembles
-into the cross-module import and call graphs.  Keeping the summary
-AST-free is what lets the engine parse files in a worker pool and build
-the graph afterwards without re-reading anything.
+into the cross-module import and call graphs.  The summary holds no
+AST nodes, so the engine keeps one small fact sheet per module, not
+every parsed tree, until the graph is built at the end of the pass.
 
 Call references are recorded as small tagged tuples so resolution can
 be finished later, once every module is known:
@@ -36,12 +36,10 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.analysis.lint.astfacts import dotted_name, lock_attr_names, raw_write
+
 #: Call-reference tuple; see the module docstring for the encodings.
 CallRef = tuple[str, ...]
-
-_LOCK_FACTORIES = frozenset(
-    {"threading.Lock", "threading.RLock", "threading.Condition", "multiprocessing.Lock"}
-)
 
 #: numpy array constructors whose ``dtype=`` keyword fixes the result dtype.
 _NP_ARRAY_MAKERS = frozenset(
@@ -187,32 +185,19 @@ def _annotation_ref(node: ast.expr | None, aliases: dict[str, str]) -> str | Non
     if isinstance(node, ast.Subscript):
         # Optional[X] / list[X]: the head type is what matters, except
         # Optional where the argument is the interesting part.
-        base = _dotted(node.value, aliases)
+        base = dotted_name(node.value, aliases)
         if base and base.rsplit(".", 1)[-1] == "Optional":
             inner = node.slice
             return _annotation_ref(inner, aliases)
         return base
-    return _dotted(node, aliases)
-
-
-def _dotted(node: ast.expr, aliases: dict[str, str]) -> str | None:
-    """Alias-resolved dotted name of a Name/Attribute chain, or None."""
-    parts: list[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(aliases.get(current.id, current.id))
-    return ".".join(reversed(parts))
+    return dotted_name(node, aliases)
 
 
 def _is_float_dtype(node: ast.expr, aliases: dict[str, str], bits: int) -> bool:
     token = f"float{bits}"
     if isinstance(node, ast.Constant) and node.value == token:
         return True
-    dotted = _dotted(node, aliases)
+    dotted = dotted_name(node, aliases)
     return dotted == f"numpy.{token}"
 
 
@@ -220,19 +205,6 @@ def _dtype_keyword(call: ast.Call) -> ast.expr | None:
     for keyword in call.keywords:
         if keyword.arg == "dtype":
             return keyword.value
-    return None
-
-
-def _write_mode_literal(call: ast.Call, *, mode_position: int) -> str | None:
-    mode: ast.expr | None = None
-    if len(call.args) > mode_position:
-        mode = call.args[mode_position]
-    for keyword in call.keywords:
-        if keyword.arg == "mode":
-            mode = keyword.value
-    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-        if any(flag in mode.value for flag in ("w", "a", "x")):
-            return mode.value
     return None
 
 
@@ -321,7 +293,7 @@ class _FunctionScan(ast.NodeVisitor):
 
     def _cast_bits(self, call: ast.Call) -> int | None:
         """32/64 when the call visibly fixes a float dtype, else None."""
-        dotted = _dotted(call.func, self.aliases)
+        dotted = dotted_name(call.func, self.aliases)
         for bits in (32, 64):
             if dotted == f"numpy.float{bits}":
                 return bits
@@ -415,7 +387,7 @@ class _FunctionScan(ast.NodeVisitor):
         """``var = SomeClass(...)`` -> the (qualified) class ref."""
         if not isinstance(node, ast.Call):
             return None
-        dotted = _dotted(node.func, self.aliases)
+        dotted = dotted_name(node.func, self.aliases)
         if dotted is None:
             return None
         tail = dotted.rsplit(".", 1)[-1]
@@ -478,46 +450,12 @@ class _FunctionScan(ast.NodeVisitor):
 
     def _scan_write(self, node: ast.Call, ref: CallRef) -> None:
         kind, *rest = ref
-        dotted = rest[0] if kind == "dotted" and rest else ""
-        if dotted in ("numpy.save", "numpy.savez", "numpy.savez_compressed"):
-            self.writes.append(WriteSite(node.lineno, node.col_offset, f"`{dotted}`"))
-            return
-        if dotted in ("open", "io.open"):
-            mode = _write_mode_literal(node, mode_position=1)
-            if mode is not None:
-                self.writes.append(
-                    WriteSite(node.lineno, node.col_offset, f"`open(..., {mode!r})`")
-                )
-            return
-        if isinstance(node.func, ast.Attribute):
-            if node.func.attr == "open":
-                mode = _write_mode_literal(node, mode_position=0)
-                if mode is not None:
-                    self.writes.append(
-                        WriteSite(node.lineno, node.col_offset, f"`.open({mode!r})`")
-                    )
-            elif node.func.attr in _WRITE_ATTRS:
-                self.writes.append(
-                    WriteSite(node.lineno, node.col_offset, f"`.{node.func.attr}(...)`")
-                )
-
-
-def _lock_attr_names(class_node: ast.ClassDef, aliases: dict[str, str]) -> tuple[str, ...]:
-    names: list[str] = []
-    for node in ast.walk(class_node):
-        if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
-            continue
-        if _dotted(node.value.func, aliases) not in _LOCK_FACTORIES:
-            continue
-        for target in node.targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-                and target.attr not in names
-            ):
-                names.append(target.attr)
-    return tuple(names)
+        what = raw_write(node, rest[0] if kind == "dotted" and rest else None)
+        if what is None and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _WRITE_ATTRS:
+                what = f"`.{node.func.attr}(...)`"
+        if what is not None:
+            self.writes.append(WriteSite(node.lineno, node.col_offset, what))
 
 
 def _iter_functions(
@@ -647,7 +585,7 @@ def summarize_module(
                 if isinstance(value, ast.Name) and value.id in param_types:
                     out[attr] = param_types[value.id]
                 elif isinstance(value, ast.Call):
-                    dotted = _dotted(value.func, alias_map)
+                    dotted = dotted_name(value.func, alias_map)
                     if dotted is None:
                         continue
                     if "." not in dotted and dotted in toplevel:
@@ -663,7 +601,7 @@ def summarize_module(
         if isinstance(node, ast.ClassDef):
             bases = tuple(
                 ref
-                for ref in (_dotted(base, alias_map) for base in node.bases)
+                for ref in (dotted_name(base, alias_map) for base in node.bases)
                 if ref is not None
             )
             bases = tuple(
@@ -673,7 +611,7 @@ def summarize_module(
                 name=node.name,
                 line=node.lineno,
                 bases=bases,
-                lock_attrs=_lock_attr_names(node, alias_map),
+                lock_attrs=lock_attr_names(node, alias_map),
                 methods=tuple(
                     item.name
                     for item in node.body

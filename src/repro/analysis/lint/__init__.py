@@ -8,6 +8,8 @@ Public surface:
 * rules — :class:`Rule`, :func:`register`, :data:`RULE_REGISTRY`,
   :func:`all_rules` (REP001–REP006 here; the whole-program rules
   REP007–REP012 register from :mod:`repro.analysis.graph.rules`);
+* astfacts — the AST facts both rule families share (alias-resolved
+  dotted names, raw-write classification, lock attributes);
 * config — :class:`LintConfig`, :class:`GraphConfig`,
   :data:`DEFAULT_CONFIG`, :func:`load_config`;
 * report — :func:`render_text` / :func:`render_json` /

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from repro.analysis.lint.astfacts import dotted_name
 from repro.analysis.lint.config import LintConfig
 
 #: Rule id reserved for files the engine cannot parse at all.
@@ -153,16 +154,7 @@ class ModuleContext:
         so ``np.random.rand`` and ``numpy.random.rand`` both come back
         as ``"numpy.random.rand"``.
         """
-        parts: list[str] = []
-        current = node
-        while isinstance(current, ast.Attribute):
-            parts.append(current.attr)
-            current = current.value
-        if not isinstance(current, ast.Name):
-            return None
-        head = self.aliases.get(current.id, current.id)
-        parts.append(head)
-        return ".".join(reversed(parts))
+        return dotted_name(node, self.aliases)
 
     def finding(self, rule: str, node: ast.AST, message: str) -> Finding:
         return Finding(
@@ -215,71 +207,25 @@ def _relative_to_root(path: Path, root: Path | None) -> str:
     return path.as_posix()
 
 
-@dataclass
-class _FileScan:
-    """What one worker produces for one file."""
+def _parse(source: str, path: Path, relpath: str) -> ModuleContext | Finding:
+    """Parse one module, or explain as a REP000 finding why it cannot be.
 
-    relpath: str
-    findings: list[Finding] = field(default_factory=list)
-    suppressed: int = 0
-    suppressions: Suppressions | None = None
-    summary: object | None = None  # ModuleSummary when the run needs the graph
-
-
-def _scan_file(
-    source: str,
-    path: Path,
-    relpath: str,
-    config: LintConfig,
-    module_rules: Sequence[object],
-    *,
-    want_summary: bool,
-    run_module_rules: bool,
-) -> _FileScan:
-    """Parse one file, run the per-module rules, extract the summary.
-
-    Pure function of its inputs (no shared state), so it can run on a
-    worker pool; the caller merges results in deterministic path order.
     Any parse failure — syntax error, null byte, pathological nesting —
-    becomes a REP000 finding instead of a crash, and the file simply
-    drops out of the graph.
+    becomes a finding instead of a crash, and the file drops out of the
+    graph.
     """
-    scan = _FileScan(relpath=relpath)
     try:
-        context = ModuleContext.from_source(source, path=path, relpath=relpath)
+        return ModuleContext.from_source(source, path=path, relpath=relpath)
     except SyntaxError as error:
-        scan.findings.append(
-            Finding(
-                PARSE_ERROR_RULE,
-                relpath,
-                int(error.lineno or 1),
-                int(error.offset or 0),
-                f"syntax error: {error.msg}",
-            )
+        return Finding(
+            PARSE_ERROR_RULE,
+            relpath,
+            int(error.lineno or 1),
+            int(error.offset or 0),
+            f"syntax error: {error.msg}",
         )
-        return scan
     except (ValueError, RecursionError, MemoryError) as error:
-        scan.findings.append(
-            Finding(PARSE_ERROR_RULE, relpath, 1, 0, f"unparseable file: {error}")
-        )
-        return scan
-    scan.suppressions = Suppressions(source)
-    if run_module_rules:
-        for rule in module_rules:
-            if not config.applies_to(rule.id, relpath):  # type: ignore[attr-defined]
-                continue
-            for finding in rule.check(context):  # type: ignore[attr-defined]
-                if scan.suppressions.is_suppressed(finding.rule, finding.line):
-                    scan.suppressed += 1
-                else:
-                    scan.findings.append(finding)
-    if want_summary:
-        from repro.analysis.graph.summary import summarize_module
-
-        scan.summary = summarize_module(
-            context.tree, relpath=relpath, aliases=context.aliases
-        )
-    return scan
+        return Finding(PARSE_ERROR_RULE, relpath, 1, 0, f"unparseable file: {error}")
 
 
 def _split_rules(config: LintConfig) -> tuple[list, list]:
@@ -293,7 +239,8 @@ def _split_rules(config: LintConfig) -> tuple[list, list]:
 
 
 def _run_graph_pass(
-    scans: Sequence[_FileScan],
+    summaries: list,
+    tables: dict[str, Suppressions],
     config: LintConfig,
     graph_rules: Sequence[object],
     result: LintResult,
@@ -306,11 +253,8 @@ def _run_graph_pass(
     """
     from repro.analysis.graph.project import build_project
 
-    project = build_project(
-        scan.summary for scan in scans if scan.summary is not None  # type: ignore[misc]
-    )
+    project = build_project(summaries)
     result.project = project
-    tables = {scan.relpath: scan.suppressions for scan in scans}
     for rule in graph_rules:
         for finding in rule.check_project(project, config):  # type: ignore[attr-defined]
             if config.is_excluded(finding.path):
@@ -326,6 +270,57 @@ def _run_graph_pass(
                 result.findings.append(finding)
 
 
+def _lint(
+    sources: dict[str, str],
+    config: LintConfig,
+    *,
+    root: Path | None = None,
+    unreadable: Sequence[Finding] = (),
+    module_scope: set[str] | None = None,
+    build_graph: bool = False,
+) -> LintResult:
+    """The one lint pass behind :func:`lint_sources` and :func:`lint_paths`.
+
+    Parses each ``{relpath: source}`` module in relpath order, runs the
+    per-module rules (on ``module_scope`` only, when given) and keeps
+    each module's summary; then builds the project graph when a graph
+    rule or ``build_graph`` asks for it.  ``unreadable`` carries the
+    REP000 findings of files that could not be read at all.  Findings
+    come back sorted by ``(path, line, col, rule)``.
+    """
+    from repro.analysis.graph.summary import summarize_module
+
+    module_rules, graph_rules = _split_rules(config)
+    want_graph = bool(graph_rules) or build_graph
+    result = LintResult(findings=list(unreadable), files_scanned=len(sources) + len(unreadable))
+    tables: dict[str, Suppressions] = {}
+    summaries: list = []
+    for relpath in sorted(sources):
+        source = sources[relpath]
+        context = _parse(source, Path(root, relpath) if root else Path(relpath), relpath)
+        if isinstance(context, Finding):
+            result.findings.append(context)
+            continue
+        suppressions = tables[relpath] = Suppressions(source)
+        if module_scope is None or relpath in module_scope:
+            for rule in module_rules:
+                if not config.applies_to(rule.id, relpath):
+                    continue
+                for finding in rule.check(context):
+                    if suppressions.is_suppressed(finding.rule, finding.line):
+                        result.suppressed += 1
+                    else:
+                        result.findings.append(finding)
+        if want_graph:
+            summaries.append(
+                summarize_module(context.tree, relpath=relpath, aliases=context.aliases)
+            )
+    if want_graph:
+        _run_graph_pass(summaries, tables, config, graph_rules, result)
+    result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return result
+
+
 def lint_sources(
     sources: dict[str, str],
     *,
@@ -338,31 +333,8 @@ def lint_sources(
     handful of strings can exercise cross-module reachability.
     """
     config = config or LintConfig()
-    module_rules, graph_rules = _split_rules(config)
-    result = LintResult()
-    scans = []
-    for relpath in sorted(sources):
-        if config.is_excluded(relpath):
-            continue
-        result.files_scanned += 1
-        scans.append(
-            _scan_file(
-                sources[relpath],
-                Path(relpath),
-                relpath,
-                config,
-                module_rules,
-                want_summary=bool(graph_rules),
-                run_module_rules=True,
-            )
-        )
-    for scan in scans:
-        result.findings.extend(scan.findings)
-        result.suppressed += scan.suppressed
-    if graph_rules:
-        _run_graph_pass(scans, config, graph_rules, result)
-    result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return result
+    kept = {relpath: text for relpath, text in sources.items() if not config.is_excluded(relpath)}
+    return _lint(kept, config)
 
 
 def lint_source(
@@ -375,30 +347,19 @@ def lint_source(
     return lint_sources({relpath: source}, config=config)
 
 
-def _default_jobs() -> int:
-    import os
-
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 def lint_paths(
     paths: Sequence[str | Path],
     *,
     config: LintConfig | None = None,
     root: str | Path | None = None,
-    jobs: int | None = None,
     module_scope: set[str] | None = None,
     build_graph: bool = False,
 ) -> LintResult:
     """Lint every Python file under ``paths`` and collect the findings.
 
     ``root`` (default: the current directory) anchors the relative
-    paths used both in reports and in the config's glob matching.
-
-    Files are parsed and per-module-linted on a worker pool (``jobs``
-    threads, default ``min(8, cpu_count)``); findings are merged in
-    sorted ``(path, line, col, rule)`` order regardless of completion
-    order, so the report is byte-identical at any parallelism.
+    paths used both in reports and in the config's glob matching.  A
+    file that cannot be read becomes a REP000 finding.
 
     ``module_scope`` (``repro lint --changed``) restricts the
     *per-module* rules to the given relpaths; every file is still
@@ -408,54 +369,23 @@ def lint_paths(
     """
     config = config or LintConfig()
     root_path = Path(root) if root is not None else Path.cwd()
-    module_rules, graph_rules = _split_rules(config)
-    want_summary = bool(graph_rules) or build_graph
-    result = LintResult()
-
-    work: list[tuple[Path, str]] = []
+    sources: dict[str, str] = {}
+    unreadable: list[Finding] = []
     seen: set[str] = set()
     for path in iter_python_files(paths):
         relpath = _relative_to_root(path, root_path)
         if config.is_excluded(relpath) or relpath in seen:
             continue
         seen.add(relpath)
-        work.append((path, relpath))
-    result.files_scanned = len(work)
-
-    def scan_one(item: tuple[Path, str]) -> _FileScan:
-        path, relpath = item
         try:
-            source = path.read_text(encoding="utf-8")
+            sources[relpath] = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as error:
-            scan = _FileScan(relpath=relpath)
-            scan.findings.append(
-                Finding(PARSE_ERROR_RULE, relpath, 1, 0, f"unreadable file: {error}")
-            )
-            return scan
-        return _scan_file(
-            source,
-            path,
-            relpath,
-            config,
-            module_rules,
-            want_summary=want_summary,
-            run_module_rules=module_scope is None or relpath in module_scope,
-        )
-
-    workers = jobs if jobs is not None else _default_jobs()
-    if workers > 1 and len(work) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scans = list(pool.map(scan_one, work))
-    else:
-        scans = [scan_one(item) for item in work]
-
-    scans.sort(key=lambda scan: scan.relpath)
-    for scan in scans:
-        result.findings.extend(scan.findings)
-        result.suppressed += scan.suppressed
-    if graph_rules or build_graph:
-        _run_graph_pass(scans, config, graph_rules, result)
-    result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return result
+            unreadable.append(Finding(PARSE_ERROR_RULE, relpath, 1, 0, f"unreadable file: {error}"))
+    return _lint(
+        sources,
+        config,
+        root=root_path,
+        unreadable=unreadable,
+        module_scope=module_scope,
+        build_graph=build_graph,
+    )

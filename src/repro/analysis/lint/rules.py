@@ -34,6 +34,7 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator, Type
 
+from repro.analysis.lint.astfacts import NP_WRITERS, lock_attr_names, raw_write
 from repro.analysis.lint.config import LintConfig
 from repro.analysis.lint.engine import Finding, ModuleContext
 
@@ -188,23 +189,6 @@ class WallClockRule(Rule):
 # REP003 — non-atomic writes
 # ---------------------------------------------------------------------------
 
-_NP_WRITERS = frozenset({"numpy.save", "numpy.savez", "numpy.savez_compressed"})
-
-
-def _write_mode_literal(call: ast.Call, *, mode_position: int) -> str | None:
-    """The literal write mode of an ``open``-style call, if any."""
-    mode: ast.expr | None = None
-    if len(call.args) > mode_position:
-        mode = call.args[mode_position]
-    for keyword in call.keywords:
-        if keyword.arg == "mode":
-            mode = keyword.value
-    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-        if any(flag in mode.value for flag in ("w", "a", "x")):
-            return mode.value
-    return None
-
-
 @register
 class AtomicWriteRule(Rule):
     id = "REP003"
@@ -219,34 +203,15 @@ class AtomicWriteRule(Rule):
     def check(self, context: ModuleContext) -> Iterator[Finding]:
         for call in _walk_calls(context.tree):
             dotted = context.dotted_name(call.func)
-            if dotted in _NP_WRITERS:
-                yield self.finding(
-                    context,
-                    call,
-                    f"non-atomic `{dotted}`; use "
-                    "`repro.utils.atomicio.write_npz_atomic` (tmp + os.replace)",
-                )
+            what = raw_write(call, dotted)
+            if what is None:
                 continue
-            if dotted in ("open", "io.open"):
-                mode = _write_mode_literal(call, mode_position=1)
-                if mode is not None:
-                    yield self.finding(
-                        context,
-                        call,
-                        f"non-atomic `open(..., {mode!r})`; use "
-                        "`repro.utils.atomicio.atomic_write` (tmp + os.replace)",
-                    )
-                continue
-            # pathlib-style  something.open("w")
-            if isinstance(call.func, ast.Attribute) and call.func.attr == "open":
-                mode = _write_mode_literal(call, mode_position=0)
-                if mode is not None:
-                    yield self.finding(
-                        context,
-                        call,
-                        f"non-atomic `.open({mode!r})`; use "
-                        "`repro.utils.atomicio.atomic_write` (tmp + os.replace)",
-                    )
+            remedy = "write_npz_atomic" if dotted in NP_WRITERS else "atomic_write"
+            yield self.finding(
+                context,
+                call,
+                f"non-atomic {what}; use `repro.utils.atomicio.{remedy}` (tmp + os.replace)",
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +277,6 @@ class UnguardedExpRule(Rule):
 # ---------------------------------------------------------------------------
 # REP005 — lock discipline
 # ---------------------------------------------------------------------------
-
-_LOCK_FACTORIES = frozenset({"threading.Lock", "threading.RLock", "multiprocessing.Lock"})
-
 
 @dataclass
 class _Mutation:
@@ -406,23 +368,6 @@ class _ClassLockScan(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
 
-def _lock_attr_names(class_node: ast.ClassDef, context: ModuleContext) -> frozenset[str]:
-    names: set[str] = set()
-    for node in ast.walk(class_node):
-        if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
-            continue
-        if context.dotted_name(node.value.func) not in _LOCK_FACTORIES:
-            continue
-        for target in node.targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                names.add(target.attr)
-    return frozenset(names)
-
-
 def _lock_held_methods(calls: list[_SelfCall]) -> set[str]:
     """Methods whose every intra-class call site holds the lock.
 
@@ -484,7 +429,7 @@ class LockDisciplineRule(Rule):
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            lock_attrs = _lock_attr_names(node, context)
+            lock_attrs = frozenset(lock_attr_names(node, context.aliases))
             if not lock_attrs:
                 continue
             scan = _ClassLockScan(lock_attrs)

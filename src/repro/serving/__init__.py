@@ -16,15 +16,14 @@ behind a production-shaped request path:
   executors that cut off overrunning tier calls;
 * :mod:`~repro.serving.reload` — checksum-validated, canary-gated,
   atomically swapped hot model reload with instant rollback;
-* :mod:`~repro.serving.clock` — injectable clocks keeping all of the
-  above deterministic under test.
+* :mod:`~repro.utils.clock` — injectable clocks (re-exported here)
+  keeping all of the above deterministic under test.
 
 Fault injection for this layer lives in
 :class:`repro.resilience.chaos.ServiceFaultInjector`.
 """
 
 from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN, BreakerConfig, CircuitBreaker
-from repro.serving.clock import Clock, FakeClock, SystemClock, as_clock
 from repro.serving.deadline import (
     BudgetExecutor,
     Deadline,
@@ -57,6 +56,7 @@ from repro.serving.tiers import (
     ServingTier,
     TierStats,
 )
+from repro.utils.clock import Clock, FakeClock, SystemClock, as_clock
 
 __all__ = [
     "BreakerConfig",

@@ -19,7 +19,7 @@ breaker implements the classic three-state machine:
   breaker (window cleared); any probe failure re-opens it and restarts
   the cooldown.
 
-All timing flows through an injectable :class:`~repro.serving.clock.Clock`,
+All timing flows through an injectable :class:`~repro.utils.clock.Clock`,
 so the full state machine is unit-testable with a fake clock and zero
 sleeps.  The breaker is thread-safe: the serving executor may record
 results from worker threads while the request loop calls ``allow()``.

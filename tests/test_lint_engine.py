@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -379,6 +381,28 @@ class TestREP005LockDiscipline:
         )
         assert_clean(source, "REP005")
 
+    def test_condition_counts_as_lock(self):
+        """``threading.Condition`` guards state for REP005 as for REP008."""
+        finding = assert_fires(
+            """
+            import threading
+
+            class Queue:
+                def __init__(self):
+                    self._cond = threading.Condition()
+                    self.items = 0
+
+                def put(self):
+                    with self._cond:
+                        self.items += 1
+
+                def drain(self):
+                    self.items = 0
+            """,
+            "REP005",
+        )[0]
+        assert "self.items" in finding.message and "self._cond" in finding.message
+
 
 class TestREP006Hygiene:
     def test_mutable_default_fires(self):
@@ -606,3 +630,41 @@ class TestSelfCheck:
         config = load_config(REPO_ROOT / "pyproject.toml")
         result = lint_paths([REPO_ROOT / "benchmarks"], config=config, root=REPO_ROOT)
         assert result.ok, "\n" + "\n".join(f.render() for f in result.findings)
+
+    def test_tree_is_clean_under_gc_pressure(self):
+        """Collections landing mid-parse must not break the lint pass.
+
+        CPython 3.11's AST constructor is not safe against a thread
+        switch inside a collection (gh-106905): a finalizer that drops
+        the GIL while another thread is building an AST raised
+        ``SystemError: AST constructor recursion depth mismatch`` when
+        files were parsed on a thread pool.  Tiny GC thresholds plus
+        self-replenishing cyclic garbage whose ``__del__`` yields the
+        GIL put such a finalizer into almost every parse.
+        """
+        stressing = True
+
+        class Cycle:
+            def __init__(self):
+                self.self_ref = self
+
+            def __del__(self):
+                time.sleep(0)
+                if stressing:
+                    Cycle()  # garbage for the next collection
+
+        config = load_config(REPO_ROOT / "pyproject.toml")
+        thresholds = gc.get_threshold()
+        try:
+            for _ in range(5):
+                gc.set_threshold(50, 5, 5)
+                for _ in range(4):
+                    Cycle()
+                result = lint_paths(
+                    [REPO_ROOT / "src", REPO_ROOT / "benchmarks"], config=config, root=REPO_ROOT
+                )
+                assert result.ok, "\n" + "\n".join(f.render() for f in result.findings)
+        finally:
+            stressing = False
+            gc.set_threshold(*thresholds)
+            gc.collect()

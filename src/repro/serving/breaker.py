@@ -11,7 +11,8 @@ breaker implements the classic three-state machine:
   opens.  A call that succeeds but takes longer than
   ``latency_threshold_ms`` counts as a failure — a tier that answers
   correctly-but-slowly is as useless to a deadline-bounded request
-  path as one that raises.
+  path as one that raises.  The window keeps a running failure count,
+  so a record costs amortized O(1) however many calls it holds.
 * **open** — requests are rejected instantly (``allow()`` is false) for
   ``cooldown_seconds``, after which the breaker moves to half-open.
 * **half-open** — up to ``half_open_max_probes`` trial requests are let
@@ -115,6 +116,7 @@ class CircuitBreaker:
         self.obs = as_registry(obs)
         self._lock = threading.Lock()
         self._events: deque[tuple[float, bool]] = deque()  # (timestamp, failed)
+        self._failures = 0  # failed entries in self._events
         self._state = CLOSED
         self._opened_at = 0.0
         self._probes_in_flight = 0
@@ -135,7 +137,7 @@ class CircuitBreaker:
             self._prune()
             if not self._events:
                 return 0.0
-            return sum(failed for _, failed in self._events) / len(self._events)
+            return self._failures / len(self._events)
 
     # -- the request-path API --------------------------------------------
     def allow(self) -> bool:
@@ -186,10 +188,10 @@ class CircuitBreaker:
                 # A straggler from before the trip; the window is moot.
                 return
             self._events.append((now, failed))
+            self._failures += failed
             self._prune()
             if len(self._events) >= self.config.min_calls:
-                failures = sum(f for _, f in self._events)
-                if failures / len(self._events) >= self.config.failure_rate_threshold:
+                if self._failures / len(self._events) >= self.config.failure_rate_threshold:
                     self._open(now)
 
     def _transition(self, to: str) -> None:
@@ -203,6 +205,7 @@ class CircuitBreaker:
         self._state = OPEN
         self._opened_at = now
         self._events.clear()
+        self._failures = 0
         self._probes_in_flight = 0
         self._probe_successes = 0
         self.opened_count_ += 1
@@ -211,6 +214,7 @@ class CircuitBreaker:
     def _close(self) -> None:
         self._state = CLOSED
         self._events.clear()
+        self._failures = 0
         self._probes_in_flight = 0
         self._probe_successes = 0
         self._transition(CLOSED)
@@ -226,7 +230,7 @@ class CircuitBreaker:
     def _prune(self) -> None:
         horizon = self.clock.monotonic() - self.config.window_seconds
         while self._events and self._events[0][0] < horizon:
-            self._events.popleft()
+            self._failures -= self._events.popleft()[1]
 
     def snapshot(self) -> dict:
         """JSON-ready view of the breaker for monitoring endpoints."""
@@ -234,13 +238,12 @@ class CircuitBreaker:
             self._maybe_enter_half_open()
             self._prune()
             n = len(self._events)
-            failures = sum(f for _, f in self._events)
             return {
                 "name": self.name,
                 "state": self._state,
                 "window_calls": n,
-                "window_failures": failures,
-                "failure_rate": failures / n if n else 0.0,
+                "window_failures": self._failures,
+                "failure_rate": self._failures / n if n else 0.0,
                 "times_opened": self.opened_count_,
             }
 

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.interactions import InteractionMatrix
+from repro.core.clapf import clapf_plus_map, clapf_plus_mrr
 from repro.data.synthetic import SyntheticConfig, generate_synthetic
 from repro.mf.params import FactorParams
+from repro.mf.sgd import SGDConfig
+from repro.sampling import dss as dss_module
 from repro.sampling.aobpr import AdaptiveOversampler
 from repro.sampling.base import TupleBatch
 from repro.sampling.dns import DynamicNegativeSampler
@@ -195,6 +198,115 @@ class TestUserPositiveRankingCache:
             values = params.item_factors[items, 0]
             assert np.all(np.diff(values) >= -1e-12)
             assert sorted(items.tolist()) == train.positives(user).tolist()
+
+
+def lexsort_orders(train, item_factors):
+    """Reference positive-cache orders: one stable float lexsort per factor."""
+    segment_users = np.repeat(np.arange(train.n_users), train.user_counts())
+    return np.stack(
+        [
+            train.indices[np.lexsort((item_factors[train.indices, q], segment_users))]
+            for q in range(item_factors.shape[1])
+        ]
+    )
+
+
+class LexsortPositiveCache(UserPositiveRankingCache):
+    """The positive cache rebuilt by :func:`lexsort_orders` (test oracle)."""
+
+    def _rebuild(self):
+        self._orders = lexsort_orders(self._train, self._params.item_factors)
+        self.rebuilds_ += 1
+
+
+def force_ties(params):
+    """Copy item rows and flatten one factor so exact ties occur."""
+    V = params.item_factors
+    V[1::7] = V[0]
+    V[2::5, 3] = V[4, 3]
+    V[:, 5] = 0.0
+    V[::2, 5] = -0.0
+
+
+class TestPositiveCacheOracle:
+    """`UserPositiveRankingCache._orders` equals the lexsort reference."""
+
+    def rebuilt(self, train, params):
+        cache = UserPositiveRankingCache(train, params, refresh_interval=1)
+        cache.maybe_refresh()
+        return cache
+
+    def test_every_factor(self, train, params):
+        cache = self.rebuilt(train, params)
+        assert np.array_equal(cache._orders, lexsort_orders(train, params.item_factors))
+
+    def test_exact_ties_break_by_item_id(self, train, params):
+        force_ties(params)
+        cache = self.rebuilt(train, params)
+        assert np.array_equal(cache._orders, lexsort_orders(train, params.item_factors))
+
+    def test_users_with_zero_and_one_positives(self):
+        pairs = [(1, 4), (2, 0), (2, 3), (2, 5), (4, 2), (5, 1), (5, 4)]
+        train = InteractionMatrix.from_pairs(pairs, n_users=7, n_items=6)
+        params = FactorParams.init(7, 6, 4, seed=3, scale=0.5)
+        params.item_factors[3] = params.item_factors[5]
+        cache = self.rebuilt(train, params)
+        assert np.array_equal(cache._orders, lexsort_orders(train, params.item_factors))
+        assert cache._orders[:, 0].tolist() == [4] * 4  # user 1's single positive
+
+    def test_rebuild_follows_in_place_updates(self, train, params):
+        cache = self.rebuilt(train, params)
+        before = cache._orders.copy()
+        params.item_factors *= -1.0
+        params.item_factors[::3] += 0.25
+        cache.maybe_refresh()  # interval of 1 elapsed -> rebuild
+        assert cache.rebuilds_ == 2
+        assert not np.array_equal(cache._orders, before)
+        assert np.array_equal(cache._orders, lexsort_orders(train, params.item_factors))
+
+
+class TestDoubleSamplerMatchesLexsortOracle:
+    """DSS draws bitwise the same tuples with the oracle positive cache."""
+
+    @staticmethod
+    def draw(train, params, mode, oracle):
+        params = params.copy()
+        force_ties(params)
+        sampler = DoubleSampler(mode, refresh_interval=3).bind(train, params)
+        if oracle:
+            sampler._positive_cache = LexsortPositiveCache(train, params, 3)
+        rng = np.random.default_rng(7)
+        drift = np.random.default_rng(8)
+        batches = []
+        for _ in range(12):  # four refresh intervals
+            batches.append(sampler.sample(64, rng))
+            # Stand-in for an SGD step: move the factors in place, then
+            # re-tie them so every rebuild meets exact ties.
+            params.item_factors += 0.05 * drift.standard_normal(params.item_factors.shape)
+            force_ties(params)
+        assert sampler._positive_cache.rebuilds_ == 4
+        return batches
+
+    @pytest.mark.parametrize("mode", ["map", "mrr"])
+    def test_same_tuple_batches(self, train, params, mode):
+        got = self.draw(train, params, mode, oracle=False)
+        want = self.draw(train, params, mode, oracle=True)
+        for a, b in zip(got, want):
+            for field in ("users", "pos_i", "pos_k", "neg_j"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    @pytest.mark.parametrize("factory", [clapf_plus_map, clapf_plus_mrr])
+    def test_same_fitted_factors(self, train, factory, monkeypatch):
+        sgd = SGDConfig(n_epochs=3, batch_size=64)
+        fast_model = factory(sgd=sgd, n_factors=6, seed=0).fit(train)
+        assert fast_model.sampler._positive_cache.rebuilds_ >= 3
+        monkeypatch.setattr(dss_module, "UserPositiveRankingCache", LexsortPositiveCache)
+        oracle_model = factory(sgd=sgd, n_factors=6, seed=0).fit(train)
+        assert isinstance(oracle_model.sampler._positive_cache, LexsortPositiveCache)
+        fast, oracle = fast_model.params_, oracle_model.params_
+        assert np.array_equal(fast.user_factors, oracle.user_factors)
+        assert np.array_equal(fast.item_factors, oracle.item_factors)
+        assert np.array_equal(fast.item_bias, oracle.item_bias)
 
 
 class TestAdaptiveSamplers:

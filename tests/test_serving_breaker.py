@@ -7,6 +7,7 @@ deterministic pure function of recorded events and advanced time.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.serving import (
@@ -219,3 +220,70 @@ class TestFullLifecycle:
         assert snap["window_calls"] == 2
         assert snap["window_failures"] == 1
         assert snap["failure_rate"] == pytest.approx(0.5)
+
+
+class TestRunningFailureCount:
+    """The breaker counts window failures as calls enter and leave.
+
+    Random mixes of successes (some slow), failures, admissions and
+    clock advances drive the breaker through prune, open, half-open and
+    close.  After every step the running count must equal a naive
+    recount of the same window, and every closed-state record must
+    open the breaker exactly when the recount says it should.
+    """
+
+    CONFIG = dict(
+        window_seconds=3.0,
+        min_calls=4,
+        failure_rate_threshold=0.5,
+        latency_threshold_ms=50.0,
+        cooldown_seconds=2.0,
+        half_open_max_probes=2,
+        half_open_successes=2,
+    )
+
+    @staticmethod
+    def recount(breaker, now):
+        horizon = now - breaker.config.window_seconds
+        return [failed for t, failed in breaker._events if t >= horizon]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_count_matches_naive_recount(self, seed):
+        rng = np.random.default_rng(seed)
+        clock = FakeClock()
+        breaker = make_breaker(clock, **self.CONFIG)
+        states = [breaker.state]
+        for _ in range(600):
+            op = rng.choice(4, p=[0.3, 0.4, 0.15, 0.15])
+            if op == 0:
+                clock.advance(float(rng.exponential(0.4)))
+            elif op == 3:
+                breaker.allow()
+            else:
+                latency = float(rng.uniform(0.0, 70.0))
+                failed = op == 2 or latency > self.CONFIG["latency_threshold_ms"]
+                closed = breaker.state == CLOSED
+                window = self.recount(breaker, clock.now) + [failed]
+                if op == 1:
+                    breaker.record_success(latency_ms=latency)
+                else:
+                    breaker.record_failure(latency_ms=latency)
+                if closed:
+                    should_open = (
+                        len(window) >= self.CONFIG["min_calls"]
+                        and sum(window) / len(window)
+                        >= self.CONFIG["failure_rate_threshold"]
+                    )
+                    assert (breaker.state == OPEN) == should_open
+            rate = breaker.failure_rate()
+            window = self.recount(breaker, clock.now)
+            assert len(window) == len(breaker._events)
+            assert rate == (sum(window) / len(window) if window else 0.0)
+            snap = breaker.snapshot()
+            assert snap["window_calls"] == len(window)
+            assert snap["window_failures"] == sum(window)
+            states.append(breaker.state)
+        # The walk crossed every transition, so the count was checked
+        # across prune, open, half-open and close.
+        pairs = set(zip(states, states[1:]))
+        assert {(CLOSED, OPEN), (OPEN, HALF_OPEN), (HALF_OPEN, CLOSED)} <= pairs
